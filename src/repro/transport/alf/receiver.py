@@ -4,9 +4,10 @@ Stage one of the paper's two-stage receive structure: fragments are
 examined to determine "which ADU they belong to (the demultiplexing
 control operation) and where in the ADU they go (the re-ordering control
 operation)".  The moment an ADU completes — regardless of other ADUs —
-it is verified and handed up.  ACKs carry ADU names (received set +
-missing set), so the sender's application can reason about losses in its
-own terms.
+it is verified and handed up.  ACKs carry ADU names — a cumulative
+floor, the received ranges above it, and the missing names between
+them — so the sender's application can reason about losses in its own
+terms, and an ACK's size tracks the holes, not the transfer's length.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.transport.alf.sender import WIRE_CHECKSUM, wire_pipeline
 from repro.transport.drain import ReadyAdu, SharedDrainEngine
 from repro.net.host import Host
 from repro.net.packet import Packet
-from repro.sim.eventloop import EventLoop
+from repro.sim.eventloop import Event, EventLoop
 from repro.sim.trace import Tracer
 from repro.transport.base import DeliveredAdu, TransportStats
 
@@ -175,8 +176,6 @@ class AlfReceiver:
         self._drain_scheduled = False
         self._defer_acks = 0
         self._ack_pending = False
-        self._delivered: set[int] = set()
-        self._next_in_order = 0
         self._closed = False
         self.out_of_order_deliveries = 0
         self.fec_recoveries = 0
@@ -186,8 +185,9 @@ class AlfReceiver:
         host.bind(PROTOCOL, flow_id, self._on_fragment)
         if drain_engine is not None:
             drain_engine.register(self)
+        self._ack_timer: Event | None = None
         if ack_interval > 0:
-            self.loop.schedule(ack_interval, self._periodic_ack)
+            self._ack_timer = self.loop.schedule(ack_interval, self._periodic_ack)
 
     @staticmethod
     def _discard_payload(payload) -> None:
@@ -207,7 +207,7 @@ class AlfReceiver:
         header = packet.header
         sequence = int(header["adu_seq"])
 
-        if sequence in self._delivered:
+        if sequence in self.acks:
             self.stats.duplicates_discarded += 1
             self._discard_payload(packet.payload)
             # A retransmission of a delivered ADU means the sender
@@ -480,8 +480,8 @@ class AlfReceiver:
         Called per row by both this flow's own :meth:`run_batch` and the
         shared engine's cross-flow dispatch.  A checksum mismatch
         penalizes only this flow (its ``stats.checksum_failures``); a
-        verified row rides the normal delivery path, whose
-        delivered-set dedupe guarantees exactly-once.  Returns ADUs
+        verified row rides the normal delivery path, whose dedupe
+        against the ACK tracker guarantees exactly-once.  Returns ADUs
         delivered (0 or 1).
         """
         self.batch_drained_adus += 1
@@ -492,14 +492,14 @@ class AlfReceiver:
             self._release_fragments(entry.partial)
             return 0
         self._release_fragments(entry.partial)
-        before = len(self._delivered)
+        before = len(self.acks)
         self._deliver_adu(
             entry.sequence,
             entry.adu,
             plan_out=out,
             corrupt_spans=entry.corrupt_spans,
         )
-        return len(self._delivered) - before
+        return len(self.acks) - before
 
     def begin_drain_dispatch(self) -> None:
         """Start coalescing ACKs for one engine dispatch.
@@ -508,8 +508,8 @@ class AlfReceiver:
         back-to-back; sending the selective ACK once per delivery is
         per-ADU control overhead the batch already paid to avoid.  While
         bracketed, :meth:`_send_ack` latches instead of sending; the
-        matching :meth:`finish_drain_dispatch` emits one ACK carrying
-        the dispatch's whole delivered set.  Nests safely.
+        matching :meth:`finish_drain_dispatch` emits one ACK covering
+        every delivery of the dispatch.  Nests safely.
         """
         self._defer_acks += 1
 
@@ -576,13 +576,16 @@ class AlfReceiver:
         """Tear the flow down: release buffers and unbind.
 
         Queued ready rows and partially reassembled ADUs release their
-        fragment chains, the flow unbinds from the host, and a
-        registered drain engine drops the flow from its plan group.
-        Idempotent.
+        fragment chains, the periodic ACK timer is cancelled, the flow
+        unbinds from the host, and a registered drain engine drops the
+        flow from its plan group.  Idempotent.
         """
         if self._closed:
             return
         self._closed = True
+        if self._ack_timer is not None:
+            self._ack_timer.cancel()
+            self._ack_timer = None
         self.discard_ready()
         for partial in list(self._partial.values()):
             self._release_fragments(partial)
@@ -598,7 +601,7 @@ class AlfReceiver:
         plan_out: bytes | BufferChain | None = None,
         corrupt_spans: tuple[tuple[int, int], ...] = (),
     ) -> None:
-        if sequence in self._delivered:
+        if sequence in self.acks:
             self.stats.duplicates_discarded += 1
             self._discard_payload(adu.payload)
             if isinstance(plan_out, BufferChain) and plan_out is not adu.payload:
@@ -611,11 +614,8 @@ class AlfReceiver:
                 plan_out, _ = self.wire_plan.run_chain(adu.payload)
             else:
                 plan_out, _ = self.wire_plan.run(adu.payload)
-        self._delivered.add(sequence)
+        in_order = sequence == self.acks.floor
         self.acks.on_adu(sequence)
-        in_order = sequence == self._next_in_order
-        while self._next_in_order in self._delivered:
-            self._next_in_order += 1
         if not in_order:
             self.out_of_order_deliveries += 1
 
@@ -679,9 +679,9 @@ class AlfReceiver:
     # Acknowledgement
 
     def _periodic_ack(self) -> None:
-        if self._delivered or self._partial:
+        if len(self.acks) or self._partial:
             self._send_ack()
-        self.loop.schedule(self.ack_interval, self._periodic_ack)
+        self._ack_timer = self.loop.schedule(self.ack_interval, self._periodic_ack)
 
     def _send_ack(self) -> None:
         if self._defer_acks:
@@ -700,7 +700,8 @@ class AlfReceiver:
         ]
         header: dict = {
             "sack": {
-                "received": sorted(self._delivered),
+                "cum": payload["cum"],
+                "received": payload["ranges"],
                 "missing": missing,
                 "highest": payload["highest"],
             }
@@ -731,14 +732,14 @@ class AlfReceiver:
     @property
     def delivered_count(self) -> int:
         """Complete ADUs handed to the application."""
-        return len(self._delivered)
+        return len(self.acks)
 
     @property
     def complete(self) -> bool:
         """True when every expected ADU has been delivered."""
         if self.expected_adus is None:
             return False
-        return len(self._delivered) >= self.expected_adus
+        return len(self.acks) >= self.expected_adus
 
     def missing_names(self) -> list[dict[str, Any]]:
         """Names of partially received ADUs (loss in application terms)."""

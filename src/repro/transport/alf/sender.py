@@ -1,15 +1,22 @@
 """ALF sender: fragments ADUs, repairs per the application's policy.
 
 The sender keeps per-ADU state, not a byte stream.  ACKs from the
-receiver name ADUs (highest seen + missing set); repair of a missing ADU
-follows the :class:`RecoveryMode`: retransmit a buffered copy, ask the
-application to recompute it, or let it go.  A coarse timer covers tail
-loss (an ADU whose every fragment — or whose ACK — vanished).
+receiver name ADUs: a cumulative floor (every sequence below it has
+arrived), the received ``[lo, hi)`` ranges above it, and the missing
+sequences between them.  Outstanding sequences are kept sorted, so an
+ACK retires the prefix below the floor with one slice and each range
+with two bisects — its cost follows the ranges and what it retires, not
+the length of the transfer.  Repair of a missing ADU follows the
+:class:`RecoveryMode`: retransmit a buffered copy, ask the application
+to recompute it, or let it go.  A coarse timer covers tail loss (an ADU
+whose every fragment — or whose ACK — vanished).
 """
 
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -23,7 +30,7 @@ from repro.integrity import IntegrityPolicy
 from repro.machine.profile import MIPS_R2000, MachineProfile
 from repro.net.host import Host
 from repro.net.packet import Packet
-from repro.sim.eventloop import EventLoop
+from repro.sim.eventloop import Event, EventLoop
 from repro.sim.trace import Tracer
 from repro.stages.checksum import ChecksumComputeStage
 from repro.stages.encrypt import WordXorStage
@@ -230,7 +237,7 @@ class AlfSender:
         self._wire_plan: CompiledPlan | None = None
         self._wire_checksums: dict[int, int] = {}
         self._wire_payloads: dict[int, bytes | BufferChain] = {}
-        self._pending: list[Adu] = []
+        self._pending: deque[Adu] = deque()
         self.counter = counter or InstructionCounter()
         self.tracer = tracer or Tracer(enabled=False)
         self.on_complete = on_complete
@@ -240,11 +247,13 @@ class AlfSender:
         self.adus_recomputed = 0
         self.adus_abandoned: set[int] = set()
         self._outstanding: dict[int, _Outstanding] = {}
+        # The keys of _outstanding, ascending: ACKs retire by slice.
+        self._outstanding_order: list[int] = []
         self._acked: set[int] = set()
         self._closed = False
         self._completed = False
         self._next_send_time = 0.0
-        self._timer_armed = False
+        self._timer: Event | None = None
 
         host.bind(PROTOCOL, flow_id, self._on_ack_packet)
 
@@ -402,6 +411,7 @@ class AlfSender:
                 length=len(adu.payload),
                 last_sent=self.loop.now,
             )
+            insort(self._outstanding_order, adu.sequence)
         self.adus_sent += 1
         self._transmit(adu)
         if self.recovery is RecoveryMode.NO_RETRANSMIT:
@@ -414,7 +424,7 @@ class AlfSender:
             self.max_outstanding is None
             or len(self._outstanding) < self.max_outstanding
         ):
-            self._dispatch(self._pending.pop(0))
+            self._dispatch(self._pending.popleft())
 
     def close(self) -> None:
         """No more ADUs; completion fires when none remain outstanding."""
@@ -545,21 +555,33 @@ class AlfSender:
         if quantum is not None and self.pacing is not None:
             self.pacing.on_pressure(int(quantum))
         sack = packet.header["sack"]
-        received: set[int] = set(sack["received"])
-        missing: list[int] = list(sack["missing"])
+        # Retire everything below the cumulative floor with one slice,
+        # then each received range above it with (at most) two bisects.
+        order = self._outstanding_order
+        self._retire(0, bisect_left(order, sack["cum"]))
+        start = 0
+        for lo, hi in sack["received"]:
+            start = bisect_left(order, lo, start)
+            if start == len(order):
+                break  # nothing outstanding at or above this range
+            if order[start] < hi:
+                self._retire(start, bisect_left(order, hi, start + 1))
 
-        for sequence in received:
-            entry = self._outstanding.pop(sequence, None)
-            if entry is not None:
-                self.counter.record("sequence_check")
-                self._acked.add(sequence)
-                self._drop_wire_memo(sequence)
-
-        for sequence in missing:
+        for sequence in sack["missing"]:
             self._repair(sequence)
 
         self._pump_pending()
         self._maybe_complete()
+
+    def _retire(self, start: int, end: int) -> None:
+        """Forget the acknowledged ADUs ``_outstanding_order[start:end]``."""
+        order = self._outstanding_order
+        for sequence in order[start:end]:
+            del self._outstanding[sequence]
+            self.counter.record("sequence_check")
+            self._acked.add(sequence)
+            self._drop_wire_memo(sequence)
+        del order[start:end]
 
     def _repair(self, sequence: int) -> None:
         entry = self._outstanding.get(sequence)
@@ -596,14 +618,16 @@ class AlfSender:
             self._transmit(adu)
 
     def _abandon(self, sequence: int) -> None:
-        self._outstanding.pop(sequence, None)
+        del self._outstanding[sequence]
+        order = self._outstanding_order
+        del order[bisect_left(order, sequence)]
         self._drop_wire_memo(sequence)
         self.adus_abandoned.add(sequence)
         self.tracer.emit(self.loop.now, "alf", "abandon", seq=sequence)
         self._pump_pending()
 
     def _on_timer(self) -> None:
-        self._timer_armed = False
+        self._timer = None
         if not self._outstanding:
             self._maybe_complete()
             return
@@ -626,9 +650,8 @@ class AlfSender:
         self._repair(sequence)
 
     def _arm_timer(self) -> None:
-        if not self._timer_armed and self._outstanding:
-            self._timer_armed = True
-            self.loop.schedule(self.rto, self._on_timer)
+        if self._timer is None and self._outstanding:
+            self._timer = self.loop.schedule(self.rto, self._on_timer)
 
     def _maybe_complete(self) -> None:
         if (
@@ -645,5 +668,9 @@ class AlfSender:
             and not self._pending
         ):
             self._completed = True
+            if self._timer is not None:
+                # Nothing can be sent again: leave no tick behind.
+                self._timer.cancel()
+                self._timer = None
             if self.on_complete is not None:
                 self.on_complete()

@@ -80,6 +80,38 @@ class TestSelectiveAck:
         payload = tracker.ack_payload()
         assert payload["highest"] == 1
         assert payload["missing"] == [0]
+        assert payload["cum"] == 0
+        assert payload["ranges"] == [(1, 2)]
+
+    def test_floor_absorbs_ranges_as_holes_fill(self):
+        tracker = SelectiveAckTracker()
+        for sequence in (0, 1, 3, 4, 7):
+            tracker.on_adu(sequence)
+        payload = tracker.ack_payload()
+        assert payload["cum"] == 2
+        assert payload["ranges"] == [(3, 5), (7, 8)]
+        assert payload["missing"] == [2, 5, 6]
+        tracker.on_adu(2)  # fills the floor's hole: [3, 5) joins it
+        assert tracker.floor == 5
+        assert tracker.ranges() == [(7, 8)]
+        tracker.on_adu(6)  # bridges nothing yet, extends [7, 8) down
+        tracker.on_adu(5)
+        payload = tracker.ack_payload()
+        assert payload["cum"] == 8
+        assert payload["ranges"] == []
+        assert payload["missing"] == []
+        assert len(tracker) == 8
+        assert tracker.on_adu(4) is False  # below the floor: duplicate
+
+    def test_bridging_arrival_merges_neighbours(self):
+        tracker = SelectiveAckTracker()
+        for sequence in (2, 4):
+            tracker.on_adu(sequence)
+        assert tracker.ranges() == [(2, 3), (4, 5)]
+        tracker.on_adu(3)
+        assert tracker.ranges() == [(2, 5)]
+        assert 3 in tracker and 1 not in tracker and 5 not in tracker
+        assert tracker.received_names() == {2, 3, 4}
 
     def test_negative_rejected(self):
         with pytest.raises(TransportError):
