@@ -1,4 +1,4 @@
-"""End-to-end packet trains — burst delivery, ring handoff, adaptive epochs.
+"""End-to-end packet trains — burst delivery, per-shard slices, adaptive epochs.
 
 Two measurements, one story: §4's "burst" observation (per-*train*
 control cost instead of per-packet) carried through every layer of the
@@ -8,12 +8,12 @@ receive path.
 link into a 4-shard :class:`~repro.net.shard.ShardedHost`:
 
 * **per-packet** — the PR-6 baseline: the link upcalls once per packet,
-  the demux probes the placement memo once per packet, each worker is
-  poked once per packet.
+  the demux probes the placement memo once per packet, each shard gets
+  one delivery per packet.
 * **trains of 32** — the link coalesces back-to-back deliveries into
   one ``receive_burst`` upcall; the demux walks the train in one pass
-  (one memo probe per flow-run), pushes one burst descriptor per shard
-  per train, and pokes each worker once per train.
+  (one memo probe per flow-run) and hands each touched shard its slice
+  of the train in one delivery.
 
 Both engineerings run the identical packets; delivery is asserted
 byte-identical and exactly-once, and every shard tears down to a clean
@@ -28,7 +28,8 @@ engine's full ``max_delay``), batch *deeper* than the fixed engine
 under sustained backlog, and settle back to immediate flushes after
 the storm.  Emits a machine-readable JSON record
 (``PACKET_TRAINS_JSON`` line and ``benchmarks/out/
-bench_packet_trains.json``) for the CI gate and artifact.
+bench_packet_trains.json``) for the CI artifact; the gates are
+``test_acceptance_packet_trains``.
 """
 
 from __future__ import annotations

@@ -16,12 +16,12 @@ demux/reassembly/verify/deliver path (zero-copy, per-shard DMA pools);
 delivery is asserted byte-identical and exactly-once, and every shard
 tears down to a clean ``leak_report``.  The headline gate: aggregate
 drained ADUs/sec at 4 shards ≥ 2.5× the 1-shard baseline.  The ratio is
-measured in the deterministic serial scheduler (the structural win —
+measured in the deterministic shard scheduler (the structural win —
 scan work divided by N — needs no parallelism, so the gate holds on a
-single-core runner); a threaded 4-shard run is recorded alongside for
-machines with real cores.  Emits a machine-readable JSON record
+single-core runner).  Emits a machine-readable JSON record
 (``SHARDED_HOSTS_JSON`` line and ``benchmarks/out/
-bench_sharded_hosts.json``) for the CI gate and artifact.
+bench_sharded_hosts.json``) for the CI artifact; the gates are
+``test_acceptance_sharded_hosts``.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ PAYLOADS = [
 ]
 
 
-def build_scenario(n_shards: int, threaded: bool = False):
+def build_scenario(n_shards: int):
     """A front host, N worker shards, and one receiver per flow."""
     front = Host(EventLoop(), "b")
     demux = ShardCounters()
@@ -68,7 +68,6 @@ def build_scenario(n_shards: int, threaded: bool = False):
         front,
         n_shards,
         rng=RngStreams(5),
-        threaded=threaded,
         pool_buffers=N_FLOWS // n_shards + 64,
         buffer_size=BUFFER,
         max_rows=MAX_ROWS,
@@ -77,8 +76,8 @@ def build_scenario(n_shards: int, threaded: bool = False):
     )
     ack_rng = RngStreams(9)
     for shard in sharded.shards:
-        # ACK egress rides a shard-local link (events stay on the
-        # shard's own loop — required for the threaded mode).
+        # ACK egress rides a shard-local link, so ACK events stay on
+        # the shard's own loop instead of the front's.
         sink = Host(shard.loop, "a")
         link = Link(
             shard.loop,
@@ -146,10 +145,10 @@ def build_packets(cache: PlanCache) -> list[Packet]:
     return packets
 
 
-def run_once(n_shards: int, threaded: bool = False) -> dict[str, object]:
+def run_once(n_shards: int) -> dict[str, object]:
     """One full run; returns the wall time of the demux+drain hot path
     plus correctness evidence (payload map, counters, leak reports)."""
-    sharded, demux, delivered, cache = build_scenario(n_shards, threaded)
+    sharded, demux, delivered, cache = build_scenario(n_shards)
     packets = build_packets(cache)
     gc.collect()
     start = time.perf_counter()
@@ -198,8 +197,7 @@ def best_of(fn, repeats: int = 3):
 def record():
     single = best_of(lambda: run_once(1))
     sharded = best_of(lambda: run_once(N_SHARDS))
-    threaded = run_once(N_SHARDS, threaded=True)
-    for result in (single, sharded, threaded):
+    for result in (single, sharded):
         check_delivery(result)
 
     scaling = single["wall_s"] / sharded["wall_s"]
@@ -219,10 +217,6 @@ def record():
             "scan_visits": sharded["scan_visits"],
             "dispatches": sharded["dispatches"],
             "demux": sharded["demux"],
-        },
-        "threaded": {
-            "wall_s": threaded["wall_s"],
-            "adus_per_s": N_FLOWS / threaded["wall_s"],
         },
         "scaling": scaling,
         "scan_reduction": single["scan_visits"]

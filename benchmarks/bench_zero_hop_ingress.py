@@ -33,8 +33,9 @@ ADU still delivers byte-identical exactly-once and every shard tears
 down to a clean ``leak_report``.
 
 Emits a machine-readable JSON record (``ZERO_HOP_INGRESS_JSON`` line
-and ``benchmarks/out/bench_zero_hop_ingress.json``) for the CI gate
-and artifact.
+and ``benchmarks/out/bench_zero_hop_ingress.json``) for the CI
+artifact; the gates are ``test_acceptance_zero_hop_ingress`` and
+``test_acceptance_skew_rebalance``.
 """
 
 from __future__ import annotations

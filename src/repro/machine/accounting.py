@@ -104,13 +104,15 @@ def datapath_counters() -> DatapathCounters:
 class AtomicCacheStats:
     """Thread-safe hit/miss/eviction counters for a keyed cache.
 
-    The plan and codec caches are shared *by key* across every shard
-    worker, so their counters are bumped from several threads at once.
-    A plain ``int`` attribute incremented with ``+=`` is a read-modify-
-    write that can lose updates between bytecodes; here every increment
-    and every read goes through one lock, and :meth:`as_dict` returns a
-    single consistent view (hits/misses/lookups always add up, even
-    with a concurrent ``get_or_compile`` in flight).
+    The plan and codec caches are process-wide and promise thread-safe
+    lookups: any thread of the embedding program may call
+    ``get_or_compile`` while another does, so their counters can be
+    bumped from several threads at once.  A plain ``int`` attribute
+    incremented with ``+=`` is a read-modify-write that can lose updates
+    between bytecodes; here every increment and every read goes through
+    one lock, and :meth:`as_dict` returns a single consistent view
+    (hits/misses/lookups always add up, even with a concurrent
+    ``get_or_compile`` in flight).
     """
 
     __slots__ = ("_lock", "_hits", "_misses", "_evictions")
@@ -311,8 +313,8 @@ class ShardCounters:
     placement: the common case is "next packet belongs to the same flow
     as the last one", so the front end memoizes the last flow's shard
     and skips the hash.  ``memo_hits`` vs ``hash_dispatches`` measures
-    how often that prediction holds; ``worker_services`` counts how many
-    times a shard worker woke to service its ingress ring.
+    how often that prediction holds; ``worker_services`` counts the
+    deliveries handed to shards (one per packet, or one per train slice).
 
     Packet trains add run-level accounting: when the front demuxes a
     whole train in one pass, consecutive same-flow packets form a *run*
@@ -399,7 +401,7 @@ class ShardCounters:
                 )
 
     def record_service(self) -> None:
-        """Account one shard worker pass over its ingress ring."""
+        """Account one delivery handed to a shard (a packet or a slice)."""
         with self._lock:
             self.worker_services += 1
 

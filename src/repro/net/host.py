@@ -35,7 +35,7 @@ class Host:
             :attr:`rx_dropped`), which is the real backpressure a finite
             interface has.
         uplink: a host to forward sends through when this host has no
-            direct link toward the destination.  Shard worker hosts set
+            direct link toward the destination.  Shard hosts set
             this to their sharded front end, so transport replies (ACKs)
             egress over the front's links without every shard owning a
             link table.

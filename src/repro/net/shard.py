@@ -1,4 +1,4 @@
-"""Sharded parallel hosts: flow-hash demux to per-shard drain workers.
+"""Sharded hosts: flow-hash demux to per-shard receive stacks.
 
 After PRs 1–5 the end system is the bottleneck the paper predicts — and
 our end system is *one* ``Host``, *one* ``EventLoop`` and *one*
@@ -9,7 +9,7 @@ backlog, so the cost of each completion grows with the number of flows
 sharing the host — a per-host shared-structure cost that no amount of
 per-flow optimization removes.
 
-:class:`ShardedHost` splits the machine into N worker shards, each a
+:class:`ShardedHost` splits the machine into N shards, each a
 self-contained receive stack:
 
 * its own :class:`~repro.sim.eventloop.EventLoop` (drain epochs and
@@ -48,39 +48,25 @@ the train was open) and unclaimed protocols.
 **Train demux** (§4 burst amortization): :meth:`ShardedHost.receive_burst`
 walks a whole train in one pass, charging one placement-memo probe per
 *flow-run* (consecutive packets of one flow) instead of one per packet,
-and accumulates one :class:`Burst` descriptor per shard per train.  In
-threaded mode that burst is appended to the shard's :class:`BurstRing`
-— replacing the old per-packet ingress deque — and the worker pops
-bursts whole, delivering each through the shard host's own
-``receive_burst``.  Control cost per train: one ring append and one
-service submission per touched shard, however long the train.
+and hands each touched shard its slice of the train through the shard
+host's own ``receive_burst``.  Control cost per train: one delivery
+per touched shard, however long the train.
 
 Plan and codec caches are intentionally **not** sharded: compiled plans
-are immutable and shared *by key* across every worker (their counters
-are atomic — see :class:`~repro.machine.accounting.AtomicCacheStats`),
-so all shards serving the same wire-plan shape hit one cache entry.
+are immutable and shared *by key* across every shard, so all shards
+serving the same wire-plan shape hit one cache entry.
 
-Two execution modes share the same demux and shard state:
-
-* **serial** (default): deterministic simulation.  Packets are
-  delivered inline; a :class:`SerialShardScheduler` merges the shard
-  loops into one global time order, so existing tests and experiments
-  stay exactly reproducible.
-* **threaded**: one single-thread ``ThreadPoolExecutor`` per shard.
-  The front appends burst descriptors to the shard's ring and submits a
-  service pass; each worker drains its own loop independently.  Egress
-  in threaded mode should ride shard-local links (the front's links
-  belong to the front's loop); the serial mode may instead fall back to
-  the front host via ``uplink``.
+Shards partition state, not processors: the gain is the shorter
+per-shard backlog scan, which needs no parallelism.  Execution is a
+deterministic simulation: packets are delivered inline, and a
+:class:`SerialShardScheduler` merges the shard loops into one global
+time order, so tests and experiments replay exactly.  Egress may ride
+shard-local links or fall back to the front host via ``uplink``.
 """
 
 from __future__ import annotations
 
-import threading
 import zlib
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.buffers.pool import BufferPool
@@ -386,97 +372,8 @@ class RebalancePolicy:
         }
 
 
-@dataclass
-class Burst:
-    """One shard's slice of a delivered train: a run of packets handed
-    across the front→worker boundary as a single descriptor."""
-
-    packets: list[Packet] = field(default_factory=list)
-
-
-class BurstRing:
-    """A lock-guarded ring of :class:`Burst` descriptors.
-
-    The front→worker handoff queue: the front end appends one
-    descriptor per shard per train (however many packets the train
-    carried), and the shard worker pops bursts whole — so the queue
-    traffic, and the lock traffic with it, is per *train*, not per
-    packet.  The ring is bounded but never drops: a full ring doubles
-    in place (counted in :attr:`expansions`), because the shard owns
-    the only consumer and backpressure belongs to the rx pool, not the
-    handoff.
-    """
-
-    def __init__(self, capacity: int = 64):
-        if capacity <= 0:
-            raise NetworkError(f"capacity must be positive, got {capacity}")
-        self._slots: list[Burst | None] = [None] * capacity
-        self._head = 0
-        self._tail = 0
-        self._count = 0
-        self._lock = threading.Lock()
-        self.pushes = 0
-        self.pops = 0
-        self.packets = 0
-        self.expansions = 0
-        self.max_depth = 0
-
-    def push(self, burst: Burst) -> None:
-        """Append one burst descriptor (grows when full, never drops)."""
-        with self._lock:
-            if self._count == len(self._slots):
-                self._grow()
-            self._slots[self._tail] = burst
-            self._tail = (self._tail + 1) % len(self._slots)
-            self._count += 1
-            self.pushes += 1
-            self.packets += len(burst.packets)
-            if self._count > self.max_depth:
-                self.max_depth = self._count
-
-    def _grow(self) -> None:
-        old = self._slots
-        size = len(old)
-        fresh: list[Burst | None] = [None] * (size * 2)
-        for offset in range(self._count):
-            fresh[offset] = old[(self._head + offset) % size]
-        self._slots = fresh
-        self._head = 0
-        self._tail = self._count
-        self.expansions += 1
-
-    def pop(self) -> Burst | None:
-        """Take the oldest burst, or None when the ring is empty."""
-        with self._lock:
-            if self._count == 0:
-                return None
-            burst = self._slots[self._head]
-            self._slots[self._head] = None
-            self._head = (self._head + 1) % len(self._slots)
-            self._count -= 1
-            self.pops += 1
-            return burst
-
-    def __len__(self) -> int:
-        with self._lock:
-            return self._count
-
-    def snapshot(self) -> dict[str, int]:
-        """Ring counters, for the sharded host's snapshot."""
-        with self._lock:
-            return {
-                "depth": self._count,
-                "capacity": len(self._slots),
-                "pushes": self.pushes,
-                "pops": self.pops,
-                "packets": self.packets,
-                "expansions": self.expansions,
-                "max_depth": self.max_depth,
-            }
-
-
 class HostShard:
-    """One worker shard: a private loop, host, engine and rx pool.
+    """One shard: a private loop, host, engine and rx pool.
 
     Built by :class:`ShardedHost`; not normally constructed directly.
     The shard's host shares the front's *name* (transport replies must
@@ -495,7 +392,6 @@ class HostShard:
         max_rows: int,
         max_delay: float,
         adaptive: bool,
-        ring_capacity: int,
         tracer: Tracer,
     ):
         self.index = index
@@ -530,9 +426,6 @@ class HostShard:
             counters=self.counters,
             tracer=tracer,
         )
-        self.ring = BurstRing(ring_capacity)
-        self.executor: ThreadPoolExecutor | None = None
-        self.futures: deque[Future] = deque()
 
     def advance_to(self, time: float) -> None:
         """Run this shard's loop up to ``time`` (clock catches up too)."""
@@ -547,11 +440,11 @@ class HostShard:
 class SerialShardScheduler:
     """Deterministic merge of several event loops into one time order.
 
-    The serial fallback that keeps sharded simulations reproducible: at
-    each step the loop with the earliest live event runs exactly one
-    event (ties broken by registration order), so N shard loops behave
-    as one global discrete-event simulation — same semantics whether
-    the host runs 1 shard or 8.
+    The one way a :class:`ShardedHost` runs, and what keeps sharded
+    simulations reproducible: at each step the loop with the earliest
+    live event runs exactly one event (ties broken by registration
+    order), so N shard loops behave as one global discrete-event
+    simulation — same semantics whether the host runs 1 shard or 8.
     """
 
     def __init__(self, loops: list[EventLoop]):
@@ -566,8 +459,11 @@ class SerialShardScheduler:
         Args:
             until: stop once every loop's next event is later than this
                 (each loop's clock advances to ``until``).  None runs
-                all loops to quiescence — beware self-rescheduling
-                events (periodic ACK timers) never quiesce.
+                until no loop holds a live event.  A closed
+                :class:`~repro.transport.alf.AlfReceiver` has cancelled
+                its periodic ACK and a completed sender its RTO tick, so
+                a finished transfer quiesces; an *open* receiver's
+                periodic ACK still reschedules itself forever.
         """
         ran = 0
         while True:
@@ -592,24 +488,20 @@ class SerialShardScheduler:
 
 
 class ShardedHost:
-    """A host front end that demuxes flows to N worker shards.
+    """A host front end that demuxes flows to N shards.
 
     Args:
         front: the machine's outward-facing host (owns the links;
             arriving packets reach the demux through protocol fallback
             bindings on it, or by calling :meth:`receive` directly).
-        shards: worker count (N ≥ 1).
+        shards: shard count (N ≥ 1).
         rng: root RNG family; each shard derives its own from the root
             seed and its index.  Defaults to a seed-0 family.
-        threaded: run each shard on its own single-thread executor.
-            False (default) keeps the deterministic serial scheduler.
         pool_buffers / buffer_size: size of each shard's private rx
             pool (0 buffers disables pooling — payloads stay bytes).
         max_rows / max_delay: forwarded to each shard's drain engine.
         adaptive: forwarded to each shard's drain engine — epochs deepen
             under backlog and collapse to immediate flush when idle.
-        ring_capacity: initial burst-ring slots per shard (the ring
-            grows on overflow rather than dropping).
         protocols: protocol names the front end claims
             (``front.bind_protocol``) and demuxes; pass ``()`` when the
             caller routes packets to :meth:`receive` itself.
@@ -629,13 +521,11 @@ class ShardedHost:
         front: Host,
         shards: int,
         rng: RngStreams | None = None,
-        threaded: bool = False,
         pool_buffers: int = 0,
         buffer_size: int = 2048,
         max_rows: int = 256,
         max_delay: float = 0.0,
         adaptive: bool = False,
-        ring_capacity: int = 64,
         protocols: tuple[str, ...] = ("alf",),
         buckets_per_shard: int = 64,
         rebalance: "RebalancePolicy | None" = None,
@@ -645,7 +535,6 @@ class ShardedHost:
         if shards <= 0:
             raise NetworkError(f"shards must be positive, got {shards}")
         self.front = front
-        self.threaded = bool(threaded)
         self.tracer = tracer or Tracer(enabled=False)
         self.counters = counters if counters is not None else shard_counters()
         root = rng if rng is not None else RngStreams(0)
@@ -659,7 +548,6 @@ class ShardedHost:
                 max_rows,
                 max_delay,
                 adaptive,
-                ring_capacity,
                 self.tracer,
             )
             for index in range(shards)
@@ -687,21 +575,9 @@ class ShardedHost:
         self._bucket_flows: dict[int, set[tuple[str, int]]] = {}
         self._steer_hits_seen = 0
         self._steer_misses_seen = 0
-        self._started = False
         self._closed = False
         for protocol in self._protocols:
             front.bind_protocol(protocol, self.receive)
-        if self.threaded:
-            # Threaded mode shares loops across threads at defined
-            # points (a worker ACKing through the uplink schedules on
-            # the front loop; a migration commit advances the target
-            # loop from the front thread), so an event can land timed
-            # before the receiving loop's clock — run it late rather
-            # than treating it as heap corruption.
-            front.loop.tolerate_late = True
-            for shard in self.shards:
-                shard.loop.tolerate_late = True
-            self.start()
 
     # ------------------------------------------------------------------
     # Demux
@@ -758,8 +634,9 @@ class ShardedHost:
         flow-run (consecutive packets of one flow) rather than one per
         packet — the saved probes are counted in the demux ledger.  All
         of a shard's packets across the train, consecutive or not, land
-        in a single :class:`Burst` descriptor, so a train touching K
-        shards costs K handoffs however many packets it carried.
+        in one ``receive_burst`` on that shard's host, so a train
+        touching K shards costs K deliveries however many packets it
+        carried.
 
         With link steering active this is the *slow path* — only
         mixed-shard, stale-epoch or unclaimed-protocol trains land
@@ -844,30 +721,13 @@ class ShardedHost:
         self._steer_misses_seen = misses
 
     def _dispatch(self, shard: HostShard, packets: list[Packet]) -> None:
-        if self.threaded:
-            # One ring append and one service submission per burst —
-            # the per-train (not per-packet) front→worker handoff.
-            if len(packets) > 1:
-                self.counters.record_shard_load(
-                    shard.index, len(packets), len(shard.ring)
-                )
-            shard.ring.push(Burst(packets))
-            # The single worker completes FIFO, so settled futures form
-            # a prefix: prune it on every append to keep the outstanding
-            # set (and the migration-commit scan over it) bounded by
-            # in-flight work instead of growing for the whole run.
-            futures = shard.futures
-            while futures and futures[0].done():
-                futures.popleft()
-            futures.append(shard.executor.submit(self._service, shard))
-            return
         if len(packets) > 1:
             self.counters.record_shard_load(
                 shard.index, len(packets), shard.engine.pending_rows
             )
-        # Serial mode: deliver inline at the front's current time.  The
-        # shard's clock catches up first so flush epochs scheduled by
-        # this delivery land at the same global timestep.
+        # Deliver inline at the front's current time.  The shard's clock
+        # catches up first so flush epochs scheduled by this delivery
+        # land at the same global timestep.
         shard.advance_to(self.front.loop.now)
         if len(packets) == 1:
             shard.host.receive(packets[0])
@@ -882,27 +742,6 @@ class ShardedHost:
         """Front-loop event: run shard events due at the current time."""
         self._pump_scheduled = False
         self.scheduler.run(until=self.front.loop.now)
-
-    def _service(self, shard: HostShard) -> None:
-        """Worker-thread pass: pop whole bursts off the ring, run the loop."""
-        serviced = False
-        while True:
-            burst = shard.ring.pop()
-            if burst is None:
-                break
-            serviced = True
-            if len(burst.packets) == 1:
-                shard.host.receive(burst.packets[0])
-            else:
-                shard.host.receive_burst(burst.packets)
-        # Zero-delay flush epochs are due now; a delayed-flush engine
-        # needs its window run out too.  The settle horizon comes from
-        # the engine itself: an adaptive engine's effective delay can
-        # exceed the configured max_delay, so running to max_delay
-        # would return with armed epochs stranded in the future.
-        shard.loop.run(until=shard.loop.now + shard.engine.flush_horizon)
-        if serviced:
-            self.counters.record_service()
 
     # ------------------------------------------------------------------
     # Skew-aware rebalancing
@@ -966,11 +805,8 @@ class ShardedHost:
         """Remap one bucket and rehome its registered flows.
 
         The stability contract: a commit happens at a train boundary,
-        with both the source and the target shard's ingress settled
-        (the source defers when busy; the target's in-flight service
-        passes are waited out — they are short and only the front
-        thread submits new ones), every registered flow in the bucket
-        quiescent (no in-flight
+        after the shards' events due now have run, with every
+        registered flow in the bucket quiescent (no in-flight
         reassembly rows, no undrained ready rows), and no *unregistered*
         flow bound on the source shard inside the bucket (remapping one
         would route its future packets to a shard where nothing is
@@ -988,35 +824,11 @@ class ShardedHost:
         flows = self._bucket_flows.get(bucket, ())
         source_shard = self.shards[source]
         target_shard = self.shards[target]
-        if self.threaded:
-            # The source worker must have nothing queued or in flight:
-            # a burst being serviced could still hold this bucket's
-            # packets, and the quiescence check below is only
-            # meaningful once the source has settled.  Defer — the
-            # policy re-proposes at the next boundary.
-            if len(source_shard.ring) or any(
-                not future.done() for future in source_shard.futures
-            ):
-                return False
-            # The commit runs the target's loop (advance_to) and
-            # rebinds receivers onto its host and engine from this
-            # thread — none of which is safe under a concurrent
-            # service pass on the target's worker.  Its passes are
-            # short (pop the queued bursts, run the flush horizon) and
-            # only this thread submits new ones, so wait them out
-            # rather than deferring forever on a busy shard.
-            for future in list(target_shard.futures):
-                future.result()
-            if len(target_shard.ring):
-                # Every push pairs with a submission, so a settled
-                # worker leaves an empty ring; anything else means the
-                # target is not safely idle — defer.
-                return False
-        else:
-            # Settle zero-delay flush epochs first (the pump that would
-            # run them is scheduled behind this event at the same
-            # timestamp) so "quiescent" reflects this train's drains.
-            self.scheduler.run(until=self.front.loop.now)
+        # Settle zero-delay flush epochs first (the pump that would run
+        # them is scheduled behind this event at the same timestamp) so
+        # "quiescent" reflects this train's drains.  This also brings
+        # every shard clock, the target's included, up to now.
+        self.scheduler.run(until=self.front.loop.now)
         # The register_flow contract: a bucket carrying traffic the
         # migration registry doesn't know about keeps its placement.  A
         # per-flow handler bound on the source shard (e.g. a receiver
@@ -1037,7 +849,6 @@ class ShardedHost:
             if not receiver.quiescent:
                 return False
             receivers.append(receiver)
-        target_shard.advance_to(self.front.loop.now)
         for receiver in receivers:
             engine = (
                 target_shard.engine
@@ -1057,63 +868,22 @@ class ShardedHost:
         return True
 
     # ------------------------------------------------------------------
-    # Worker lifecycle
-
-    def start(self) -> None:
-        """Spin up one single-thread executor per shard (threaded mode)."""
-        if not self.threaded or self._started:
-            return
-        for shard in self.shards:
-            shard.executor = ThreadPoolExecutor(
-                max_workers=1,
-                thread_name_prefix=f"{self.front.name}-shard{shard.index}",
-            )
-        self._started = True
-
-    def stop(self) -> None:
-        """Wait for in-flight service passes and stop the executors."""
-        if not self._started:
-            return
-        for shard in self.shards:
-            if shard.executor is not None:
-                shard.executor.shutdown(wait=True)
-                shard.executor = None
-            shard.futures.clear()
-        self._started = False
+    # Lifecycle
 
     def drain(self, until: float | None = None) -> None:
-        """Settle every shard.
-
-        Serial mode runs the merged scheduler up to ``until`` (default:
-        the front's current time).  Threaded mode waits for every
-        submitted service pass — workers self-drain, so once the
-        futures resolve the burst rings and flush epochs are done.
-        """
-        if self.threaded:
-            while True:
-                futures, pending = [], False
-                for shard in self.shards:
-                    futures.extend(shard.futures)
-                    shard.futures = deque()
-                for future in futures:
-                    future.result()
-                for shard in self.shards:
-                    if len(shard.ring) or shard.futures:
-                        pending = True
-                if not pending:
-                    return
-        else:
-            self.scheduler.run(
-                until=self.front.loop.now if until is None else until
-            )
+        """Settle every shard: run the merged scheduler up to ``until``
+        (default: the front's current time)."""
+        self.scheduler.run(
+            until=self.front.loop.now if until is None else until
+        )
 
     def shutdown(self) -> dict[int, list[str]]:
         """Tear every shard down; returns per-shard leak reports.
 
         Drains outstanding work, shuts each shard's engine down (ready
-        rows release their pooled segments), unbinds the claimed
-        protocols from the front and stops the workers.  A clean
-        teardown reports an empty list for every shard.
+        rows release their pooled segments) and unbinds the claimed
+        protocols from the front.  A clean teardown reports an empty
+        list for every shard.
         """
         if self._closed:
             return {shard.index: shard.leak_report() for shard in self.shards}
@@ -1125,7 +895,6 @@ class ShardedHost:
             reports[shard.index] = shard.leak_report()
         for protocol in self._protocols:
             self.front.unbind_protocol(protocol)
-        self.stop()
         return reports
 
     # ------------------------------------------------------------------
@@ -1141,7 +910,6 @@ class ShardedHost:
         self._flush_steering_counters()
         return {
             "shards": len(self.shards),
-            "threaded": self.threaded,
             "demux": self.counters.snapshot(),
             "steering": self.steering.snapshot(),
             "rebalance": (
@@ -1151,7 +919,6 @@ class ShardedHost:
                 {
                     "index": shard.index,
                     "received": shard.host.received,
-                    "ring": shard.ring.snapshot(),
                     "pressure_quantum": shard.engine.pressure_quantum,
                     "backlog": shard.engine.backlog_export(),
                     "engine": shard.engine.snapshot(),

@@ -127,7 +127,6 @@ def sharded_ingress(
     seed: int = 0,
     shards: int = 4,
     steer: bool = True,
-    threaded: bool = False,
     bandwidth_bps: float = 1e9,
     propagation_delay: float = 0.001,
     loss_rate: float = 0.0,
@@ -150,7 +149,7 @@ def sharded_ingress(
     The forward link runs in packet-train mode and — with ``steer=True``
     (the default) — consults the sharded host's exported steering table
     while coalescing, so single-shard trains take the zero-hop path
-    straight onto their shard's ring.  ``steer=False`` wires the same
+    straight onto their shard.  ``steer=False`` wires the same
     topology through the front-end demux hop, which is the baseline the
     zero-hop bench compares against.  The reverse link carries ACKs.
     """
@@ -187,7 +186,6 @@ def sharded_ingress(
         b,
         shards,
         rng=rng,
-        threaded=threaded,
         pool_buffers=pool_buffers,
         max_rows=max_rows,
         max_delay=max_delay,

@@ -1371,8 +1371,8 @@ class CodecCompiler:
 class CodecCacheStats(AtomicCacheStats):
     """Hit/miss/eviction counters for one :class:`CodecCache`.
 
-    Shared by key across shard workers like the plan cache, so the
-    counters are atomic (lock-guarded record methods, not bare ``+=``).
+    Process-wide like the plan cache, so the counters are atomic
+    (lock-guarded record methods, not bare ``+=``).
     """
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -48,25 +47,10 @@ class EventLoop:
     def __init__(self) -> None:
         self.now = 0.0
         self._heap: list[Event] = []
-        # Heap mutations are locked: a sharded host in threaded mode
-        # shares loops across threads at well-defined points (a worker
-        # ACKing through the front's uplink schedules on the front
-        # loop), and CPython's heapq aborts if a push lands mid-sift.
-        # Callbacks always run unlocked, so event execution order and
-        # serial-mode determinism are untouched.
-        self._heap_lock = threading.Lock()
         self._sequence = itertools.count()
         self._cancelled = 0
         self.events_run = 0
         self.compactions = 0
-        # Serial simulations treat an event timed before `now` as heap
-        # corruption.  A loop shared across threads (threaded sharded
-        # ingress) can legitimately receive one — a worker schedules
-        # against a clock snapshot the owning thread has since advanced
-        # past — so the owner opts in to running such events late
-        # (at `now`, never rewinding the clock).
-        self.tolerate_late = False
-        self.late_events = 0
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
@@ -74,8 +58,7 @@ class EventLoop:
             raise SimulationError(f"cannot schedule in the past (delay {delay})")
         event = Event(self.now + delay, next(self._sequence), callback, args)
         event._loop = self
-        with self._heap_lock:
-            heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, event)
         return event
 
     def _on_cancel(self) -> None:
@@ -86,9 +69,8 @@ class EventLoop:
             self._compact()
 
     def _compact(self) -> None:
-        with self._heap_lock:
-            self._heap = [event for event in self._heap if not event.cancelled]
-            heapq.heapify(self._heap)
+        self._heap = [event for event in self._heap if not event.cancelled]
+        heapq.heapify(self._heap)
         self._cancelled = 0
         self.compactions += 1
 
@@ -106,27 +88,19 @@ class EventLoop:
             max_events: safety valve against runaway simulations.
         """
         processed = 0
-        while True:
+        while self._heap:
             if max_events is not None and processed >= max_events:
                 raise SimulationError(f"exceeded max_events={max_events}")
-            with self._heap_lock:
-                if not self._heap:
-                    break
-                event = self._heap[0]
-                if until is not None and event.time > until:
-                    break
-                heapq.heappop(self._heap)
+            event = self._heap[0]
+            if until is not None and event.time > until:
+                break
+            heapq.heappop(self._heap)
             if event.cancelled:
                 self._cancelled -= 1
                 continue
             if event.time < self.now:
-                if not self.tolerate_late:
-                    raise SimulationError(
-                        "event heap corrupted: time went backwards"
-                    )
-                self.late_events += 1
-            else:
-                self.now = event.time
+                raise SimulationError("event heap corrupted: time went backwards")
+            self.now = event.time
             event.callback(*event.args)
             self.events_run += 1
             processed += 1
@@ -141,37 +115,29 @@ class EventLoop:
         :class:`~repro.net.shard.SerialShardScheduler` merge several
         loops into one global time order without running any of them.
         """
-        with self._heap_lock:
-            while self._heap and self._heap[0].cancelled:
-                heapq.heappop(self._heap)
-                self._cancelled -= 1
-            return self._heap[0].time if self._heap else None
+        while self._heap and self._heap[0].cancelled:
+            heapq.heappop(self._heap)
+            self._cancelled -= 1
+        return self._heap[0].time if self._heap else None
 
     def step(self) -> bool:
         """Run exactly one (live) event; returns False when idle.
 
-        The single-event counterpart of :meth:`run`, used by the serial
+        The single-event counterpart of :meth:`run`, used by the
         shard scheduler to interleave several loops deterministically.
         """
-        while True:
-            with self._heap_lock:
-                if not self._heap:
-                    return False
-                event = heapq.heappop(self._heap)
+        while self._heap:
+            event = heapq.heappop(self._heap)
             if event.cancelled:
                 self._cancelled -= 1
                 continue
             if event.time < self.now:
-                if not self.tolerate_late:
-                    raise SimulationError(
-                        "event heap corrupted: time went backwards"
-                    )
-                self.late_events += 1
-            else:
-                self.now = event.time
+                raise SimulationError("event heap corrupted: time went backwards")
+            self.now = event.time
             event.callback(*event.args)
             self.events_run += 1
             return True
+        return False
 
     @property
     def pending(self) -> int:

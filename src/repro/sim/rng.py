@@ -33,11 +33,11 @@ class RngStreams:
     def derive(self, name: str) -> "RngStreams":
         """A child family seeded from (master seed, ``name``).
 
-        Shard workers use this — ``root.derive(f"shard-{index}")`` — so
+        Shards use this — ``root.derive(f"shard-{index}")`` — so
         every shard's randomness is a pure function of the root seed and
         the shard index: multi-shard experiments replay exactly, each
         shard's draws are independent of every other shard's, and
-        resharding from N to M workers never perturbs the streams of a
+        resharding from N to M shards never perturbs the streams of a
         shard index both configurations share.
         """
         digest = hashlib.sha256(f"{self.seed}/derive/{name}".encode()).digest()

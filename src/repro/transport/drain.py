@@ -176,9 +176,9 @@ class SharedDrainEngine:
         self.delivered_total = 0
         # Reentrant because flush() reads pending_rows and notify_ready
         # can run from delivery callbacks inside an in-flight flush.
-        # Guards registration, flushing and snapshots so a snapshot
-        # taken from another thread (a sharded front end, the CLI) never
-        # observes a half-applied epoch.
+        # Guards registration, flushing and snapshots so a reader on a
+        # thread other than the one running the loop (a monitor polling
+        # snapshot()) never observes a half-applied epoch.
         self._mutex = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -303,7 +303,7 @@ class SharedDrainEngine:
 
     @property
     def flush_horizon(self) -> float:
-        """How far a worker must run its loop to settle this engine.
+        """How far the engine's loop must run to settle this engine.
 
         At least the current effective delay, and never less than the
         remaining wait of an already-armed flush — an adaptive engine's

@@ -15,8 +15,9 @@ from hypothesis import given, settings
 
 from repro.control.ack import SelectiveAckTracker
 from repro.core.adu import Adu
+from repro.machine.accounting import ShardCounters
 from repro.net.packet import Packet
-from repro.net.topology import two_hosts
+from repro.net.topology import sharded_ingress, two_hosts
 from repro.transport.alf import AlfReceiver, AlfSender
 from repro.transport.alf.sender import PROTOCOL
 
@@ -172,7 +173,10 @@ def test_sack_entries_bounded_independent_of_transfer_length():
 def test_completed_transfer_leaves_an_empty_heap():
     """Once the sender completes (its RTO tick is cancelled) and the
     receiver closes (its periodic ACK is cancelled), an unbounded run
-    returns with nothing left to fire."""
+    returns with nothing left to fire — on two hosts, and across a
+    4-shard receiver with the default periodic ACK and per-shard drain
+    engines, where the shard scheduler's unbounded run must return and
+    leave the front loop and every shard loop empty."""
     path = two_hosts(seed=1)
     receiver = AlfReceiver(path.loop, path.b, "a", 1, deliver=lambda adu: None)
     done: list[float] = []
@@ -187,3 +191,38 @@ def test_completed_transfer_leaves_an_empty_heap():
     receiver.close()
     path.loop.run(max_events=10_000)
     assert path.loop.pending == 0
+
+    ing = sharded_ingress(seed=1, shards=4, counters=ShardCounters())
+    sharded = ing.sharded
+    receivers = []
+    finished: list[int] = []
+    for flow in range(8):
+        shard = sharded.shard_for(PROTOCOL, flow)
+        receivers.append(
+            AlfReceiver(
+                shard.loop, shard.host, "a", flow,
+                deliver=lambda adu: None, drain_engine=shard.engine,
+            )
+        )
+        sender = AlfSender(
+            ing.loop, ing.a, "b", flow, on_complete=lambda: finished.append(1)
+        )
+        for sequence in range(4):
+            sender.send_adu(Adu(sequence, bytes(range(200)), {"seq": sequence}))
+        sender.close()
+    while len(finished) < 8 and ing.loop.now < 1.0:
+        ing.loop.run(until=ing.loop.now + 0.01)
+        sharded.drain()
+    assert len(finished) == 8
+    assert all(receiver.delivered_count == 4 for receiver in receivers)
+    assert len({receiver.loop for receiver in receivers}) > 1
+    for receiver in receivers:
+        receiver.close()
+    ing.loop.run(max_events=10_000)
+    # Bounded first, so a timer that still rearms fails the test rather
+    # than hanging the unbounded run below.
+    sharded.scheduler.run(until=ing.loop.now + 10.0)
+    assert all(shard.loop.next_event_time() is None for shard in sharded.shards)
+    sharded.scheduler.run()
+    assert ing.loop.pending == 0
+    assert [shard.loop.pending for shard in sharded.shards] == [0, 0, 0, 0]

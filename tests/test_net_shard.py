@@ -11,7 +11,6 @@ from repro.core.adu import Adu, fragment_adu
 from repro.errors import NetworkError
 from repro.machine.accounting import ShardCounters
 from repro.net.host import Host
-from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.net.shard import (
     SerialShardScheduler,
@@ -264,7 +263,6 @@ class TestEndToEnd:
         assert all(count > 0 for count in spread)
         snap = sharded.snapshot()
         assert snap["shards"] == 4
-        assert snap["threaded"] is False
         assert len(snap["per_shard"]) == 4
         assert snap["demux"]["packets"] == n_flows * n_adus
         for receiver in receivers:
@@ -286,47 +284,6 @@ class TestEndToEnd:
         before = path.b.undeliverable
         path.b.receive(adu_packets(1, [adu_payload(6)])[0])
         assert path.b.undeliverable == before + 1
-
-    def test_threaded_sharded_delivery_exactly_once(self):
-        front = Host(EventLoop(), "b")
-        sharded = ShardedHost(
-            front,
-            2,
-            rng=RngStreams(3),
-            threaded=True,
-            pool_buffers=128,
-            buffer_size=2048,
-            max_rows=1024,
-            protocols=(),
-            counters=ShardCounters(),
-        )
-        ack_rng = RngStreams(4)
-        for shard in sharded.shards:
-            sink = Host(shard.loop, "a")
-            link = Link(
-                shard.loop,
-                ack_rng.stream(f"ack-{shard.index}"),
-                name=f"b->a/{shard.index}",
-            )
-            link.connect(sink.receive)
-            shard.host.add_link("a", link)
-        n_flows = 64
-        delivered: dict[int, list[bytes]] = {}
-        payloads = {fid: [adu_payload(2000 + fid)] for fid in range(n_flows)}
-        for fid in range(n_flows):
-            bind_flow(sharded, fid, delivered, zero_copy=True)
-        packets = [
-            packet
-            for fid in range(n_flows)
-            for packet in adu_packets(fid, payloads[fid])
-        ]
-        sharded.receive_burst(packets)
-        sharded.drain()
-        assert sharded.delivered_total == n_flows
-        for fid in range(n_flows):
-            assert delivered[fid] == payloads[fid]
-        reports = sharded.shutdown()
-        assert reports == {0: [], 1: []}
 
 
 class TestUplink:

@@ -79,6 +79,13 @@ class TestEventLoop:
         loop.schedule(0.0, forever)
         with pytest.raises(SimulationError, match="max_events"):
             loop.run(max_events=100)
+        # A run that empties the heap on its last allowed event is not
+        # runaway.
+        loop = EventLoop()
+        for _ in range(3):
+            loop.schedule(1.0, lambda: None)
+        loop.run(max_events=3)
+        assert loop.events_run == 3
 
     def test_events_run_counter(self):
         loop = EventLoop()
@@ -87,32 +94,19 @@ class TestEventLoop:
         loop.run()
         assert loop.events_run == 5
 
-    def test_late_event_raises_unless_tolerated(self):
-        # A cross-thread scheduler can land an event timed before the
-        # loop's clock (it snapshotted `now` before the owner advanced
-        # it).  The strict serial default treats that as corruption;
-        # a threaded sharded host opts in to running it late instead,
-        # without ever rewinding the clock.
-        def make_late():
+    def test_late_event_raises(self):
+        # An event timed before the loop's clock means the heap is
+        # corrupted: both run() and step() refuse it, and neither
+        # rewinds the clock.
+        for drive in (EventLoop.run, EventLoop.step):
             loop = EventLoop()
             loop.schedule(2.0, lambda: None)
             loop.run()
-            # Simulate the race: an event carrying a stale timestamp.
-            event = loop.schedule(0.0, log.append, "late")
+            event = loop.schedule(0.0, lambda: None)
             event.time = 1.0
-            return loop
-
-        log = []
-        loop = make_late()
-        with pytest.raises(SimulationError, match="time went backwards"):
-            loop.run()
-        log = []
-        loop = make_late()
-        loop.tolerate_late = True
-        loop.run()
-        assert log == ["late"]
-        assert loop.late_events == 1
-        assert loop.now == 2.0  # the clock never rewound
+            with pytest.raises(SimulationError, match="time went backwards"):
+                drive(loop)
+            assert loop.now == 2.0
 
 
 class TestRngStreams:
