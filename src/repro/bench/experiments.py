@@ -767,8 +767,8 @@ def selective_integrity(
 
     The per-ADU integrity policy compiles into the wire plan: SPANS
     folds only the covered words (checksum work proportional to covered
-    bytes, uncovered bytes never read), HEADERS_ONLY additionally lets
-    the batch path gather only each row's covered prefix, and a
+    bytes, uncovered bytes never read), HEADERS_ONLY reads only each
+    row's covered prefix where it lies in the batch drain, and a
     tolerant policy turns damage in an uncovered region from a
     discard+retransmit into a flagged delivery — the ALF "ignore"
     recovery option the paper gives media applications.
@@ -865,7 +865,7 @@ def selective_integrity(
         notes=f"{n_adus} single-fragment ADUs of {payload_bytes} B per "
         "scenario, batch-drained.  The integrity policy compiles into "
         "the wire plan's checksum kernel: SPANS folds only covered "
-        "words, HEADERS_ONLY gathers only each row's covered prefix, "
+        "words, HEADERS_ONLY reads only each row's covered prefix, "
         "and damage the PHY flags in an uncovered region delivers "
         "flagged (ALF 'ignore' mode) instead of forcing a "
         "retransmission — while covered damage is still caught and "

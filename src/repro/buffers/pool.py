@@ -39,6 +39,9 @@ class BufferPool:
         self.label = label
         self.buffer_size = buffer_size
         self.capacity = n_buffers
+        # Released buffers are scrubbed from this one zero block, so a
+        # release costs one copy and no allocation.
+        self._zeros = bytes(buffer_size)
         self._free: list[Buffer] = [
             Buffer(buffer_size, label=f"{label}[{i}]") for i in range(n_buffers)
         ]
@@ -92,7 +95,7 @@ class BufferPool:
             )
         self._outstanding.remove(id(buffer))
         self._outstanding_labels.pop(id(buffer), None)
-        buffer.data[:] = bytes(self.buffer_size)
+        buffer.data[:] = self._zeros
         self._free.append(buffer)
 
     # ------------------------------------------------------------------

@@ -22,7 +22,8 @@ This package provides:
   path: fusion planned once, groups lowered to word kernels, prices
   precomputed; :class:`~repro.ilp.compiler.PlanCache` memoizes plans
   across ADUs and flows, and ``CompiledPlan.run_batch`` executes many
-  ADUs in one vectorized pass per kernel;
+  ADUs per call (observer-only plans read each row in place,
+  transforming plans make one vectorized pass per kernel);
 * :class:`~repro.ilp.report.ExecutionReport` — cycles, passes and Mb/s
   for either execution, priced on a machine profile.
 

@@ -19,14 +19,15 @@ compile time:
   the pipeline's display name, which transports mint per ADU) plus the
   profile name, initial facts and speculative flag, with hit / miss /
   eviction counters surfaced via ``repro ilp stats``;
-* :meth:`CompiledPlan.run_batch` packs many ADUs into one padded 2-D
-  word array so each kernel makes a single vectorized pass over the
-  whole batch — one interpreter dispatch per kernel per *batch* instead
-  of per ADU.
+* :meth:`CompiledPlan.run_batch` runs many ADUs per call.  Observer-only
+  plans (checksum, any integrity policy) read each row in place; only
+  transforming plans pack the batch into one padded 2-D word array so
+  each kernel makes a single vectorized pass over the whole batch.
 
-Byte-identity with the unbatched path is maintained exactly: rows carry
-their true byte lengths, and between integrated loops the padding is
-re-zeroed just as the unbatched path's store/reload through bytes does.
+Byte-identity with the unbatched path is maintained exactly: packed rows
+carry their true byte lengths, and between integrated loops the padding
+is re-zeroed just as the unbatched path's store/reload through bytes
+does.
 """
 
 from __future__ import annotations
@@ -44,11 +45,7 @@ from repro.ilp.fusion import fused_group_cost, plan_fusion
 from repro.ilp.kernels import _LITTLE_ENDIAN, Array, WordKernel, gather_words
 from repro.ilp.kernels import bytes_to_words as pack_words
 from repro.ilp.kernels import words_to_bytes as unpack_words
-from repro.machine.accounting import (
-    AtomicCacheStats,
-    datapath_counters,
-    integrity_counters,
-)
+from repro.machine.accounting import AtomicCacheStats, datapath_counters
 from repro.ilp.pipeline import Pipeline
 from repro.ilp.report import ExecutionReport, StageExecution
 from repro.machine.costs import CostVector
@@ -170,11 +167,12 @@ def _pack_batch(
 ) -> tuple[Array, Array, Array, Array]:
     """Pack ADUs into one (adu, word) big-endian-value array.
 
-    Rows may be ``bytes`` or scatter-gather :class:`BufferChain`s; a
-    chain row is gathered segment-by-segment straight into its slot of
-    the batch array — one pass, no intermediate linearize (recorded as
-    ``batch-gather`` on the datapath counters; the chain's references
-    are untouched).
+    Only transforming plans (encrypt, convert) pack; observer-only plans
+    read their rows in place.  Rows may be ``bytes`` or scatter-gather
+    :class:`BufferChain`s; a chain row is gathered segment-by-segment
+    straight into its slot of the batch array — one pass, no
+    intermediate linearize (recorded as ``batch-gather`` on the datapath
+    counters; the chain's references are untouched).
 
     Returns ``(words, lengths, word_keep, byte_keep)``:
 
@@ -237,17 +235,18 @@ def _unpack_batch(words: Array, lengths: Array) -> list[bytes]:
     return [flat[i, : int(length)].tobytes() for i, length in enumerate(lengths)]
 
 
-def _observer_limit(groups: Sequence[CompiledGroup]) -> int | None:
-    """Byte prefix a pure-observer plan needs, or None for the whole ADU.
+def _in_place_observers(
+    groups: Sequence[CompiledGroup],
+) -> tuple[WordKernel, ...] | None:
+    """The finalizing kernels of an observer-only plan, or None.
 
-    The compile-time condition for the covered-gather fast path: every
-    kernel preserves the data (no transform will run) *and* every
-    finalizer declares a :attr:`~repro.ilp.kernels.WordKernel.coverage_limit`.
-    The limit is the furthest byte any finalizer can read — a
-    ``headers_only`` integrity policy yields its prefix length, ``none``
-    yields 0, and the batch executor packs only that much of each row.
+    The compile-time condition for the in-place batch path: every kernel
+    preserves the data (no transform will run) *and* every finalizer has
+    a ``chain_finalize`` that reads a row where it lies.  That covers the
+    default checksum and every integrity policy; plans that encrypt or
+    convert return None and pack.
     """
-    limit = 0
+    observers: list[WordKernel] = []
     for group in groups:
         if group.kernels is None:
             return None
@@ -255,10 +254,10 @@ def _observer_limit(groups: Sequence[CompiledGroup]) -> int | None:
             if not kernel.preserves_data:
                 return None
             if kernel.finalize is not None:
-                if kernel.coverage_limit is None:
+                if kernel.chain_finalize is None:
                     return None
-                limit = max(limit, kernel.coverage_limit)
-    return limit
+                observers.append(kernel)
+    return tuple(observers)
 
 
 class CompiledPlan:
@@ -276,7 +275,7 @@ class CompiledPlan:
         "speculative_facts",
         "pipeline_name",
         "n_stages",
-        "_observer_limit",
+        "_observers",
     )
 
     def __init__(
@@ -295,7 +294,7 @@ class CompiledPlan:
         # reports carry it (per-ADU reports use the live pipeline's).
         self.pipeline_name = pipeline_name
         self.n_stages = len(key.stages)
-        self._observer_limit = _observer_limit(groups)
+        self._observers = _in_place_observers(groups)
 
     @property
     def n_loops(self) -> int:
@@ -443,21 +442,26 @@ class CompiledPlan:
         return data, observations
 
     def run_batch(self, adus: Sequence[bytes | BufferChain]) -> BatchResult:
-        """Run many ADUs through the plan in one vectorized pass per kernel.
+        """Run many ADUs through the plan in one call.
 
-        Payloads — ``bytes`` or scatter-gather chains, freely mixed —
-        are packed into a single padded 2-D word array (chain rows
-        gather straight into their slot, no per-ADU linearize); each
-        kernel's transform and (vectorized) finalizer then touch the
-        whole batch at once.  Outputs and observations are byte- and
-        value-identical to calling :meth:`run` per ADU; input chains'
-        references are untouched.
+        Payloads may be ``bytes`` or scatter-gather chains, freely
+        mixed.  An observer-only plan (checksum, any integrity policy)
+        reads each row in place: every finalizer's ``chain_finalize``
+        makes one read pass over the row where it lies, and the row's
+        output is its own bytes (a chain row linearizes once, the
+        delivery copy).  A transforming plan (encrypt, convert) packs
+        the burst into one padded 2-D word array (chain rows gather
+        straight into their slot) so each kernel's transform and
+        vectorized finalizer touch the whole batch at once.  Either way
+        outputs and observations are byte- and value-identical to
+        calling :meth:`run` per ADU, and input chains' references are
+        untouched.
         """
         self._require_lowered()
         if not adus:
             raise PipelineError("run_batch needs at least one ADU")
-        if self._observer_limit is not None:
-            return self._run_batch_covered(adus, self._observer_limit)
+        if self._observers is not None:
+            return self._run_batch_in_place(adus)
         words, lengths, word_keep, byte_keep = _pack_batch(adus)
         observations: dict[str, list[int]] = {}
         n = len(adus)
@@ -486,67 +490,47 @@ class CompiledPlan:
         return BatchResult(
             outputs=outputs,
             observations=observations,
-            report=self._batch_report(lengths),
+            report=self._batch_report(lengths.tolist()),
         )
 
-    def _run_batch_covered(
-        self, adus: Sequence[bytes | BufferChain], limit: int
+    def _run_batch_in_place(
+        self, adus: Sequence[bytes | BufferChain]
     ) -> BatchResult:
-        """Observer-only batch with the gather truncated to ``limit`` bytes.
+        """Observer-only batch: each row is read where it lies.
 
-        No kernel will transform, so each output *is* its input's bytes
-        (chains linearize once — the same single materialization the
-        delivery path would otherwise perform).  Only the covered prefix
-        of each row is packed for the finalizers: a ``headers_only``
-        policy folds a few words per ADU, a ``none`` policy folds
-        nothing, and the payload body never crosses the pack.  Bytes the
-        truncation never packed are charged to the integrity counters as
-        skipped.
+        A ``bytes`` row is wrapped zero-copy for the finalizers and the
+        wrapper released; a chain row is read segment by segment and
+        then linearized once for its output.  No word array is built.
         """
+        observers = self._observers
+        columns: list[list[int]] = [[] for _ in observers]
         outputs: list[bytes] = []
-        heads: list[bytes] = []
-        skipped = 0
         for payload in adus:
-            if isinstance(payload, BufferChain):
-                data = payload.linearize()
-            elif isinstance(payload, bytes):
-                data = payload
+            chain = (
+                payload
+                if isinstance(payload, BufferChain)
+                else BufferChain.wrap(payload)
+            )
+            for column, kernel in zip(columns, observers):
+                column.append(kernel.chain_finalize(chain))
+            if chain is payload:
+                outputs.append(payload.linearize())
             else:
-                data = bytes(payload)
-            outputs.append(data)
-            head = data[:limit] if len(data) > limit else data
-            skipped += len(data) - len(head)
-            heads.append(head)
-        if skipped:
-            integrity_counters().record_skipped(skipped)
-        words, lengths, _word_keep, _byte_keep = _pack_batch(heads)
-        observations: dict[str, list[int]] = {}
-        n = len(heads)
-        for group in self.groups:
-            for kernel in group.kernels:
-                if kernel.finalize is None:
-                    continue
-                if kernel.batch_finalize is not None:
-                    values = kernel.batch_finalize(words, lengths)
-                    observations[kernel.name] = [int(v) for v in values]
-                else:
-                    observations[kernel.name] = [
-                        kernel.finalize(words[i, :], int(lengths[i]))
-                        for i in range(n)
-                    ]
-        true_lengths = np.fromiter(
-            (len(out) for out in outputs), dtype=np.int64, count=n
-        )
+                chain.release()
+                outputs.append(bytes(payload))
+        observations = {
+            kernel.name: column for kernel, column in zip(observers, columns)
+        }
         return BatchResult(
             outputs=outputs,
             observations=observations,
-            report=self._batch_report(true_lengths),
+            report=self._batch_report([len(out) for out in outputs]),
         )
 
-    def _batch_report(self, lengths: Array) -> ExecutionReport:
-        n = int(lengths.size)
-        total_words = int(((lengths + 3) // 4).sum())
-        total_bytes = int(lengths.sum())
+    def _batch_report(self, lengths: Sequence[int]) -> ExecutionReport:
+        n = len(lengths)
+        total_words = sum((length + 3) // 4 for length in lengths)
+        total_bytes = sum(lengths)
         report = ExecutionReport(
             pipeline_name=self.pipeline_name,
             mode="integrated-batch",

@@ -206,20 +206,6 @@ class IntegrityPolicy:
             return ((0, UNBOUNDED),)
         return self.spans
 
-    @property
-    def coverage_limit(self) -> int | None:
-        """Highest byte offset the fold can touch (None = unbounded).
-
-        The compiled batch path uses this to truncate its gather: a
-        ``headers_only`` plan packs only the covered prefix, dropping
-        the full-payload read pass altogether.
-        """
-        if self.mode == MODE_FULL:
-            return None
-        if not self.spans:
-            return 0
-        return self.spans[-1][1]
-
     def clipped(self, length: int) -> list[tuple[int, int]]:
         """Coverage intersected with one ADU's actual byte range."""
         out = []

@@ -749,11 +749,6 @@ class IntegrityCounters:
             self.covered_bytes += covered
             self.skipped_bytes += skipped
 
-    def record_skipped(self, n_bytes: int) -> None:
-        """Account bytes a truncated gather never even packed."""
-        with self._lock:
-            self.skipped_bytes += n_bytes
-
     def record_tolerant_delivery(self, n_spans: int) -> None:
         """Account one corrupt-but-flagged delivery carrying ``n_spans``."""
         with self._lock:

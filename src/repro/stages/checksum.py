@@ -277,7 +277,6 @@ class ChecksumComputeStage(PassthroughStage):
             batch_finalize=kernel.batch_finalize,
             preserves_data=True,
             chain_finalize=kernel.chain_finalize,
-            coverage_limit=kernel.coverage_limit,
         )
 
     def reset(self) -> None:

@@ -296,7 +296,6 @@ class TestAdaptiveEpochs:
         engine = SharedDrainEngine(loop, max_rows=64, max_delay=1e-3)
         assert engine.effective_max_rows == 64
         assert engine.effective_max_delay == 1e-3
-        assert engine.flush_horizon == 1e-3
 
     def test_idle_adaptive_engine_flushes_immediately(self):
         loop = EventLoop()
@@ -305,7 +304,6 @@ class TestAdaptiveEpochs:
         )
         assert engine.effective_max_delay == 0.0
         assert engine.effective_max_rows == 4  # the 1/16th floor
-        assert engine.flush_horizon == 0.0
 
     def test_backlog_deepens_epochs_past_configured_delay(self):
         loop = EventLoop()
@@ -322,7 +320,6 @@ class TestAdaptiveEpochs:
             engine.adaptive_boost * engine.max_delay
         )
         assert engine.effective_max_rows == 64
-        assert engine.flush_horizon >= engine.effective_max_delay
 
     def test_silence_decays_pressure_back_to_immediate(self):
         loop = EventLoop()
