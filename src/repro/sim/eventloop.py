@@ -9,22 +9,47 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.errors import SimulationError
 
 
-@dataclass(order=True)
 class Event:
-    """A scheduled callback (ordering fields first for the heap)."""
+    """A scheduled callback, ordered by ``(time, sequence)`` for the heap.
 
-    time: float
-    sequence: int
-    callback: Callable[..., None] = field(compare=False)
-    args: tuple[Any, ...] = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
-    _loop: "EventLoop | None" = field(compare=False, default=None, repr=False)
+    A hand-written ``__lt__`` (the only comparison ``heapq`` makes)
+    compares the two ordering fields directly; a generated dataclass
+    ordering builds two tuples per comparison, and the heap makes
+    several comparisons per push and pop.
+    """
+
+    __slots__ = ("time", "sequence", "callback", "args", "cancelled", "_loop")
+
+    def __init__(
+        self,
+        time: float,
+        sequence: int,
+        callback: Callable[..., None],
+        args: tuple[Any, ...] = (),
+        loop: "EventLoop | None" = None,
+    ) -> None:
+        self.time = time
+        self.sequence = sequence
+        self.callback = callback
+        self.args = args
+        self.cancelled = False
+        self._loop = loop
+
+    def __lt__(self, other: "Event") -> bool:
+        if self.time != other.time:
+            return self.time < other.time
+        return self.sequence < other.sequence
+
+    def __repr__(self) -> str:
+        return (
+            f"Event(time={self.time!r}, sequence={self.sequence!r}, "
+            f"callback={self.callback!r}, cancelled={self.cancelled!r})"
+        )
 
     def cancel(self) -> None:
         """Prevent the event from firing.
@@ -56,8 +81,7 @@ class EventLoop:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay {delay})")
-        event = Event(self.now + delay, next(self._sequence), callback, args)
-        event._loop = self
+        event = Event(self.now + delay, next(self._sequence), callback, args, self)
         heapq.heappush(self._heap, event)
         return event
 

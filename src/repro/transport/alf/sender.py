@@ -281,11 +281,13 @@ class AlfSender:
     def send_batch(self, adus: list[Adu]) -> None:
         """Transmit many ADUs with one batched wire pass.
 
-        The compiled wire plan packs every payload into one padded 2-D
-        word array and computes all ADU checksums in a single vectorized
-        traversal, amortizing the per-ADU interpreter overhead across
-        the batch.  Transmission then proceeds exactly as per-ADU
-        :meth:`send_adu` calls, windowing included.
+        One :meth:`~repro.ilp.compiler.CompiledPlan.run_batch` call
+        computes every ADU's checksum.  An observer-only plan (checksum,
+        any integrity policy) reads each payload in place; a
+        transforming plan (encrypt, convert) packs the batch into one
+        padded 2-D word array and runs each kernel once over it.
+        Transmission then proceeds exactly as per-ADU :meth:`send_adu`
+        calls, windowing included.
         """
         if self._closed:
             raise TransportError("sender is closed")
@@ -296,8 +298,10 @@ class AlfSender:
             # decoded in place), then one batched encrypt+checksum pass.
             payloads = [self._convert.apply(adu.payload) for adu in adus]
         else:
-            # Chain payloads gather straight into the batch array —
-            # no per-ADU linearize.
+            # A transforming plan gathers chain payloads straight into
+            # its batch array.  An observer-only plan linearizes each
+            # chain row into an output that goes unused here: only the
+            # checksums are kept.
             payloads = [adu.payload for adu in adus]
         batch = self.wire_plan.run_batch(payloads)
         if self._convert is not None or self._encrypt is not None:

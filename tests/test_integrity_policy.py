@@ -151,6 +151,28 @@ class TestCoverageIdentity:
             data, policy
         )
 
+    @pytest.mark.parametrize("start", [0, 1, 2, 3])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_short_and_vectorized_folds_agree(self, start, extra):
+        # Spans up to _SHORT_FOLD bytes fold in plain ints, longer ones
+        # through numpy; both sides of the cut-over, at every start
+        # parity and across a segment boundary, give the definition.
+        from repro.ilp.kernels import _SHORT_FOLD
+
+        data = bytes((i * 73 + 11) & 0xFF for i in range(2 * _SHORT_FOLD + 8))
+        policy = IntegrityPolicy.of_spans(
+            [(start, start + _SHORT_FOLD + extra)]
+        )
+        cut = _SHORT_FOLD // 2 + 1
+        chain = BufferChain([Segment.wrap(data[:cut]), Segment.wrap(data[cut:])])
+        assert coverage_checksum_chain(chain, policy) == zeroed_reference(
+            data, policy
+        )
+        whole = BufferChain.wrap(data)
+        assert coverage_checksum_chain(whole, policy) == zeroed_reference(
+            data, policy
+        )
+
     @given(payloads, spans())
     def test_uncovered_bytes_never_change_the_sum(self, data, ranges):
         # Rewriting every uncovered byte leaves the covered checksum
